@@ -59,9 +59,9 @@ fn sweep(
             .finish()
             .expect("squash failed");
         let recorder = SharedRecorder::new(Recorder::attribution_only());
-        let result =
-            pipeline::run_squashed_traced(&squashed, input, None, Some(recorder.sink()))
-                .expect("squashed run");
+        let spec = pipeline::RunSpec { sink: Some(recorder.sink()), ..Default::default() };
+        let (result, _) =
+            pipeline::run_squashed_with(&squashed, input, spec).expect("squashed run");
         let attribution = recorder.take().attribution.finish(result.cycles);
         assert_eq!(
             attribution.attributed_cycles, result.runtime.cycles_charged,

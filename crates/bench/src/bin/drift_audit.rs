@@ -35,13 +35,9 @@ fn main() -> ExitCode {
         // Static image, measured with attribution: the retuner's input.
         let squashed = b.squash(&options);
         let recorder = SharedRecorder::new(Recorder::attribution_only());
-        let run = pipeline::run_squashed_traced(
-            &squashed,
-            &b.timing_input,
-            None,
-            Some(recorder.sink()),
-        )
-        .expect("static run");
+        let spec = pipeline::RunSpec { sink: Some(recorder.sink()), ..Default::default() };
+        let (run, _) =
+            pipeline::run_squashed_with(&squashed, &b.timing_input, spec).expect("static run");
         let mut telemetry = run.telemetry(&b.name);
         telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
 

@@ -180,12 +180,14 @@ pub fn theta_label(theta: f64) -> String {
 /// a flat two-level map `{section: {metric: number}}` seeding the perf
 /// trajectory. Each bench binary merges its own section into the file, so
 /// running `stream_codec` and `decompressor` in either order produces one
-/// combined report. The format is deliberately tiny (std-only writer and
-/// reader for exactly this shape — no JSON dependency).
+/// combined report. The writer is a small pretty emitter for exactly this
+/// shape; the reader is `squash_obs::json`.
 pub mod report {
     use std::collections::BTreeMap;
     use std::fs;
     use std::path::PathBuf;
+
+    use squash_obs::json::{self, Json};
 
     /// Where the report lives unless `BENCH_JSON` overrides it: the
     /// workspace root, independent of the bench binary's working directory.
@@ -273,77 +275,24 @@ pub mod report {
         out
     }
 
-    /// Parses the exact shape [`emit`] writes (plus arbitrary whitespace).
-    /// Returns `None` on anything unexpected — the caller then starts a
-    /// fresh report rather than corrupting a hand-edited file.
+    /// Reads the shape [`emit`] writes: an object of objects of numbers.
+    /// Returns `None` on anything else — the caller then starts a fresh
+    /// report rather than corrupting a hand-edited file.
     fn parse(text: &str) -> Option<Sections> {
-        let mut chars = text.chars().peekable();
-        fn skip_ws(c: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-            while c.peek().is_some_and(|ch| ch.is_whitespace()) {
-                c.next();
-            }
-        }
-        fn expect(c: &mut std::iter::Peekable<std::str::Chars<'_>>, ch: char) -> Option<()> {
-            skip_ws(c);
-            (c.next()? == ch).then_some(())
-        }
-        fn string(c: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-            expect(c, '"')?;
-            let mut s = String::new();
-            loop {
-                match c.next()? {
-                    '"' => return Some(s),
-                    '\\' => s.push(c.next()?),
-                    ch => s.push(ch),
-                }
-            }
-        }
-        fn number(c: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<f64> {
-            skip_ws(c);
-            let mut s = String::new();
-            while c
-                .peek()
-                .is_some_and(|ch| ch.is_ascii_digit() || "+-.eE".contains(*ch))
-            {
-                s.push(c.next().unwrap());
-            }
-            s.parse().ok()
-        }
-        let mut sections = Sections::new();
-        expect(&mut chars, '{')?;
-        skip_ws(&mut chars);
-        if chars.peek() == Some(&'}') {
-            return Some(sections);
-        }
-        loop {
-            let name = string(&mut chars)?;
-            expect(&mut chars, ':')?;
-            expect(&mut chars, '{')?;
-            let mut entries = BTreeMap::new();
-            skip_ws(&mut chars);
-            if chars.peek() == Some(&'}') {
-                chars.next();
-            } else {
-                loop {
-                    let k = string(&mut chars)?;
-                    expect(&mut chars, ':')?;
-                    entries.insert(k, number(&mut chars)?);
-                    skip_ws(&mut chars);
-                    match chars.next()? {
-                        ',' => continue,
-                        '}' => break,
-                        _ => return None,
-                    }
-                }
-            }
-            sections.insert(name, entries);
-            skip_ws(&mut chars);
-            match chars.next()? {
-                ',' => continue,
-                '}' => return Some(sections),
-                _ => return None,
-            }
-        }
+        let Ok(Json::Obj(sections)) = json::parse(text) else {
+            return None;
+        };
+        sections
+            .into_iter()
+            .map(|(name, entries)| match entries {
+                Json::Obj(entries) => entries
+                    .into_iter()
+                    .map(|(k, v)| Some((k, v.as_f64()?)))
+                    .collect::<Option<_>>()
+                    .map(|entries| (name, entries)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[cfg(test)]
@@ -377,6 +326,16 @@ pub mod report {
         #[test]
         fn empty_object_parses() {
             assert_eq!(parse("{}"), Some(Sections::new()));
+        }
+
+        #[test]
+        fn committed_reports_re_emit_byte_identically() {
+            for name in ["BENCH_PR2.json", "BENCH_PR3.json", "BENCH_PR4.json"] {
+                let p = PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")).join(name);
+                let text = fs::read_to_string(&p).expect("committed report");
+                let sections = parse(&text).unwrap_or_else(|| panic!("{name} parses"));
+                assert_eq!(emit(&sections), text, "{name}");
+            }
         }
     }
 }

@@ -16,9 +16,9 @@
 //!   slot at each cycle) and the image's address map, producing
 //!   flamegraph-compatible collapsed stacks for `squashrun --samples`.
 //! * [`registry`] — mirrors a [`Telemetry`] document onto a metrics
-//!   [`Registry`] (counters, gauges, and the trap inter-arrival histogram)
-//!   without touching the document's own JSON schema; `squashmon --prom`
-//!   renders the Prometheus exposition.
+//!   [`Registry`] (counters and gauges named by the telemetry field tables,
+//!   and the trap inter-arrival histogram) without touching the document's
+//!   own JSON schema; `squashmon --prom` renders the Prometheus exposition.
 //!
 //! Everything here consumes already-recorded data, so the zero-perturbation
 //! contract (`tests/differential.rs`) is inherited from the emitters.
@@ -27,7 +27,7 @@ use squash_obs::{Histogram, Registry, SpanId, SpanLog, Stacks};
 use squash_vm::{Sample, TraceEvent, TraceSink};
 
 use crate::runtime::RuntimeConfig;
-use crate::telemetry::{StageRecord, Telemetry};
+use crate::telemetry::{Fields, StageRecord, Telemetry};
 
 /// Folds runtime trace events into a cycle-domain [`SpanLog`].
 ///
@@ -281,138 +281,27 @@ pub fn registry(t: &Telemetry) -> Registry {
         &[("name", &t.name)],
         1.0,
     );
-    if t.docs > 0 {
-        r.set_gauge(
-            "squash_telemetry_docs",
-            "Run documents folded into this aggregate",
-            &[],
-            t.docs as f64,
-        );
+    t.mirror(&mut r, None);
+    if let Some(run) = &t.run {
+        run.mirror(&mut r, None);
     }
-    if t.trace_drops > 0 {
-        r.add_counter(
-            "squash_trace_drops_total",
-            "Events the bounded trace ring discarded",
-            &[],
-            t.trace_drops,
-        );
+    if let Some(rt) = &t.runtime {
+        rt.mirror(&mut r, None);
     }
-    if t.sampler_drops > 0 {
-        r.add_counter(
-            "squash_sampler_drops_total",
-            "Samples the bounded sampling profiler discarded",
-            &[],
-            t.sampler_drops,
-        );
-    }
-    if let Some(run) = t.run {
-        r.set_gauge("squash_run_status", "Guest exit status", &[], run.status as f64);
-        r.add_counter(
-            "squash_run_instructions_total",
-            "Instructions executed",
-            &[],
-            run.instructions,
-        );
-        r.add_counter(
-            "squash_run_cycles_total",
-            "Cycles consumed (instructions + service charges)",
-            &[],
-            run.cycles,
-        );
-        r.add_counter(
-            "squash_run_output_bytes_total",
-            "Bytes the guest wrote",
-            &[],
-            run.output_bytes,
-        );
-    }
-    if let Some(rt) = t.runtime {
-        let help = "Runtime decompressor counter";
-        for (name, v) in [
-            ("squash_runtime_decompressions_total", rt.decompressions),
-            ("squash_runtime_skipped_total", rt.skipped),
-            ("squash_runtime_stub_hits_total", rt.stub_hits),
-            ("squash_runtime_stub_allocs_total", rt.stub_allocs),
-            ("squash_runtime_restores_total", rt.restores),
-            ("squash_runtime_bits_read_total", rt.bits_read),
-            ("squash_runtime_insts_written_total", rt.insts_written),
-            ("squash_runtime_cycles_charged_total", rt.cycles_charged),
-            ("squash_runtime_hits_total", rt.hits),
-            ("squash_runtime_misses_total", rt.misses),
-            ("squash_runtime_evictions_total", rt.evictions),
-            ("squash_runtime_regions_verified_total", rt.regions_verified),
-            ("squash_runtime_checksum_cycles_total", rt.checksum_cycles),
-            ("squash_runtime_ref_fallbacks_total", rt.ref_fallbacks),
-        ] {
-            r.add_counter(name, help, &[], v);
-        }
-        r.set_gauge(
-            "squash_runtime_max_live_stubs",
-            "High-water mark of live restore stubs",
-            &[],
-            rt.max_live_stubs as f64,
-        );
-    }
-    if let Some(ic) = t.icache {
-        r.add_counter("squash_icache_hits_total", "Instruction-cache hits", &[], ic.hits);
-        r.add_counter("squash_icache_misses_total", "Instruction-cache misses", &[], ic.misses);
-        r.add_counter("squash_icache_flushes_total", "Instruction-cache flushes", &[], ic.flushes);
+    if let Some(ic) = &t.icache {
+        ic.mirror(&mut r, None);
         r.set_gauge("squash_icache_miss_ratio", "Miss ratio", &[], ic.miss_ratio());
     }
     for s in &t.stages {
-        let labels: &[(&str, &str)] = &[("stage", &s.name)];
-        r.add_counter("squash_stage_wall_ns_total", "Stage wall-clock", labels, s.wall_ns);
-        r.add_counter("squash_stage_items_total", "Stage items processed", labels, s.items);
-        r.add_counter(
-            "squash_stage_output_bytes_total",
-            "Stage artifact bytes",
-            labels,
-            s.output_bytes,
-        );
+        s.mirror(&mut r, Some(("stage", &s.name)));
     }
     for f in &t.faults {
-        r.add_counter(
-            "squash_faults_total",
-            "Machine-check faults by kind",
-            &[("kind", &f.kind)],
-            f.count,
-        );
+        f.mirror(&mut r, Some(("kind", &f.kind)));
     }
     if let Some(attr) = &t.attribution {
-        for (kind, v) in [
-            ("create_stub", attr.traps.create_stub),
-            ("entry", attr.traps.entry),
-            ("restore", attr.traps.restore),
-        ] {
-            r.add_counter("squash_traps_total", "Service traps by kind", &[("kind", kind)], v);
-        }
+        attr.traps.mirror(&mut r, None);
         for row in &attr.regions {
-            let region = row.region.to_string();
-            let labels: &[(&str, &str)] = &[("region", &region)];
-            r.add_counter(
-                "squash_region_decompressions_total",
-                "Decompressions per region",
-                labels,
-                row.decompressions,
-            );
-            r.add_counter(
-                "squash_region_residency_cycles_total",
-                "Cycles the region was buffer-resident",
-                labels,
-                row.residency_cycles,
-            );
-            for (kind, v) in [
-                ("decomp", row.decomp_cycles),
-                ("hit", row.hit_cycles),
-                ("stub", row.stub_cycles),
-            ] {
-                r.add_counter(
-                    "squash_region_cycles_total",
-                    "Attributed service cycles per region",
-                    &[("region", &region), ("kind", kind)],
-                    v,
-                );
-            }
+            row.mirror(&mut r, Some(("region", &row.region.to_string())));
         }
         if !attr.interarrival.is_empty() {
             // The attribution buckets are log2: bucket 0 holds zero deltas,

@@ -156,97 +156,55 @@ pub fn run_original_with(
 /// Fails on machine faults or runtime-decompressor errors (corrupt blob,
 /// stub exhaustion).
 pub fn run_squashed(squashed: &Squashed, input: &[u8]) -> Result<RunResult, SquashError> {
-    run_squashed_with(squashed, input, None)
+    run_squashed_with(squashed, input, RunSpec::default()).map(|(run, _)| run)
 }
 
-/// [`run_squashed`] with an optional instruction-cache model; the runtime
-/// decompressor flushes it after every decompression, as in the paper.
-///
-/// # Errors
-///
-/// Fails on machine faults or runtime-decompressor errors.
-pub fn run_squashed_with(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-) -> Result<RunResult, SquashError> {
-    run_squashed_traced(squashed, input, icache, None)
+/// What a [`run_squashed_with`] run attaches; the default attaches nothing,
+/// which is [`run_squashed`].
+#[derive(Default)]
+pub struct RunSpec {
+    /// An instruction-cache model; the runtime decompressor flushes it
+    /// after every decompression, as in the paper.
+    pub icache: Option<ICacheConfig>,
+    /// A trace sink on the runtime decompressor. Every runtime event
+    /// (traps, decompressions, cache hits, stub churn, flushes) is emitted
+    /// into it, stamped with the simulated cycle counter. Use a
+    /// [`crate::telemetry::SharedRecorder`] to keep a handle on the
+    /// recorded data.
+    pub sink: Option<Box<dyn TraceSink>>,
+    /// A deterministic sampling profiler: the VM records the executing pc
+    /// at every n-th simulated cycle, and the filled
+    /// [`squash_vm::Sampler`] is returned alongside the run. Collapse the
+    /// samples with [`crate::monitor::collapse_samples`].
+    pub sample_every: Option<u64>,
+    /// A cycle budget, enforced inside the VM step loop and before every
+    /// decompressor charge. Exceeding it is a typed `deadline_exceeded`
+    /// machine check (`SquashError::fault`) at a cycle ≤ the budget, never a
+    /// hang.
+    pub deadline: Option<u64>,
+    /// A shared decode-cache handle (the fleet's). It shares *host-side*
+    /// decode work between instances of the same image; simulated cycle
+    /// charges and per-instance runtime stats are unchanged, so a fleet run
+    /// is byte/cycle-identical to a solo one (`tests/fleet.rs`).
+    pub cache: Option<crate::fleet::cache::CacheHandle>,
 }
 
-/// [`run_squashed_with`] with an optional trace sink attached to the runtime
-/// decompressor. Every runtime event (traps, decompressions, cache hits,
-/// stub churn, flushes) is emitted into the sink, stamped with the simulated
-/// cycle counter. Tracing is purely observational: the run's cycle counts
-/// are identical with and without a sink (`tests/differential.rs` asserts
-/// this on every workload). Use a [`crate::telemetry::SharedRecorder`] to
-/// keep a handle on the recorded data.
+/// [`run_squashed`] with the observers, models and limits `spec` attaches.
 ///
-/// # Errors
-///
-/// Fails on machine faults or runtime-decompressor errors.
-pub fn run_squashed_traced(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-    sink: Option<Box<dyn TraceSink>>,
-) -> Result<RunResult, SquashError> {
-    run_squashed_observed(squashed, input, icache, sink, None).map(|(run, _)| run)
-}
-
-/// [`run_squashed_traced`] plus an optional deterministic sampling profiler:
-/// with `sample_every = Some(n)`, the VM records the executing pc at every
-/// n-th simulated cycle and the filled [`squash_vm::Sampler`] is returned
-/// alongside the run. Sampling shares tracing's zero-perturbation contract —
-/// it reads the cycle counter, never advances it — and
-/// `tests/differential.rs` asserts byte- and cycle-identity on every
-/// workload with both attached. Collapse the samples with
-/// [`crate::monitor::collapse_samples`].
-///
-/// # Errors
-///
-/// Fails on machine faults or runtime-decompressor errors.
-pub fn run_squashed_observed(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-    sink: Option<Box<dyn TraceSink>>,
-    sample_every: Option<u64>,
-) -> Result<(RunResult, Option<squash_vm::Sampler>), SquashError> {
-    run_squashed_inner(squashed, input, icache, sink, sample_every, None, None)
-}
-
-/// The fleet entry point: [`run_squashed`] under a cycle-budget deadline
-/// and (optionally) a shared decode-cache handle.
-///
-/// The deadline is enforced inside the VM step loop and before every
-/// decompressor charge, and surfaces as a typed `deadline_exceeded` machine
-/// check (`SquashError::fault`) at a cycle ≤ the budget, never a hang; a
-/// budget the run does not exceed is zero-perturbation. The cache handle
-/// shares *host-side* decode work between instances of the same image —
-/// simulated cycle charges and per-instance runtime stats are unchanged, so
-/// a fleet run is byte/cycle-identical to a solo one (`tests/fleet.rs`).
+/// Tracing and sampling are purely observational: they read the cycle
+/// counter and never advance it, so the run's outputs and cycle counts are
+/// identical with and without them (`tests/differential.rs` asserts this on
+/// every workload). A deadline the run does not exceed is likewise
+/// zero-perturbation.
 ///
 /// # Errors
 ///
 /// Fails on machine faults (including `DeadlineExceeded`) or
 /// runtime-decompressor errors.
-pub fn run_squashed_budgeted(
+pub fn run_squashed_with(
     squashed: &Squashed,
     input: &[u8],
-    deadline: Option<u64>,
-    cache: Option<crate::fleet::cache::CacheHandle>,
-) -> Result<RunResult, SquashError> {
-    run_squashed_inner(squashed, input, None, None, None, deadline, cache).map(|(run, _)| run)
-}
-
-fn run_squashed_inner(
-    squashed: &Squashed,
-    input: &[u8],
-    icache: Option<ICacheConfig>,
-    sink: Option<Box<dyn TraceSink>>,
-    sample_every: Option<u64>,
-    deadline: Option<u64>,
-    cache: Option<crate::fleet::cache::CacheHandle>,
+    spec: RunSpec,
 ) -> Result<(RunResult, Option<squash_vm::Sampler>), SquashError> {
     let mut vm = Vm::new(squashed.min_mem_size(1 << 18));
     for (base, bytes) in &squashed.segments {
@@ -254,18 +212,18 @@ fn run_squashed_inner(
     }
     vm.set_pc(squashed.entry);
     vm.set_input(input.to_vec());
-    if let Some(cfg) = icache {
+    if let Some(cfg) = spec.icache {
         vm.enable_icache(cfg);
     }
-    if let Some(period) = sample_every {
+    if let Some(period) = spec.sample_every {
         vm.enable_sampling(period);
     }
-    vm.set_deadline(deadline);
+    vm.set_deadline(spec.deadline);
     let mut service = SquashRuntime::new(squashed.runtime.clone());
-    if let Some(sink) = sink {
+    if let Some(sink) = spec.sink {
         service.set_sink(sink);
     }
-    if let Some(handle) = cache {
+    if let Some(handle) = spec.cache {
         service.set_decode_cache(handle);
     }
     let out = vm.run_with(&mut service).map_err(|e| {

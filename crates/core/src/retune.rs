@@ -418,9 +418,8 @@ mod tests {
             attribution: Default::default(),
             ..Recorder::default()
         });
-        let run =
-            pipeline::run_squashed_traced(&squashed, &[], None, Some(recorder.sink()))
-                .unwrap();
+        let spec = pipeline::RunSpec { sink: Some(recorder.sink()), ..Default::default() };
+        let (run, _) = pipeline::run_squashed_with(&squashed, &[], spec).unwrap();
         let mut telemetry = run.telemetry("fixture");
         telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
         telemetry

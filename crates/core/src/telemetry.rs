@@ -24,11 +24,15 @@
 //! the event stream, and simulated cycles are byte-for-byte identical with
 //! and without a sink attached (asserted by `tests/differential.rs`).
 //!
-//! No external JSON crate exists in this workspace, so [`json`] provides the
-//! tiny value type, emitter and parser the schema needs — the same
-//! hand-rolled approach `squash_bench::report` already uses.
+//! The schema is defined in one place: each struct of the document has one
+//! field table (the `fields!` macro below), one row per field, and its JSON
+//! codec, its [`Telemetry::merge`] rule and its metrics mirror
+//! ([`crate::monitor::registry`]) are generated from that row. Adding a
+//! counter is adding a row. [`json`] is `squash_obs::json`, the workspace's
+//! one JSON value type and parser.
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -48,345 +52,10 @@ use crate::stages::StageStats;
 /// still parse.
 pub const SCHEMA_VERSION: u32 = 2;
 
-pub mod json {
-    //! A minimal JSON value: emit, parse, and accessors.
-    //!
-    //! Integers are kept exact ([`Json::Int`], `i64`) rather than routed
-    //! through `f64`, so 64-bit cycle counters round-trip byte-for-byte.
-
-    use std::fmt;
-
-    /// One JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// An integer (emitted without a decimal point).
-        Int(i64),
-        /// A non-integer number.
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Json>),
-        /// An object; insertion order is preserved on emission.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Object field lookup (`None` for non-objects and missing keys).
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => {
-                    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-                }
-                _ => None,
-            }
-        }
-
-        /// The value as an `i64`, if it is an integer.
-        pub fn as_i64(&self) -> Option<i64> {
-            match *self {
-                Json::Int(n) => Some(n),
-                _ => None,
-            }
-        }
-
-        /// The value as a `u64`, if it is a non-negative integer.
-        pub fn as_u64(&self) -> Option<u64> {
-            self.as_i64().and_then(|n| u64::try_from(n).ok())
-        }
-
-        /// The value as an `f64` (integers widen).
-        pub fn as_f64(&self) -> Option<f64> {
-            match *self {
-                Json::Int(n) => Some(n as f64),
-                Json::Num(n) => Some(n),
-                _ => None,
-            }
-        }
-
-        /// The value as a string slice.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The value as an array slice.
-        pub fn as_arr(&self) -> Option<&[Json]> {
-            match self {
-                Json::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// Whether the value is `null`.
-        pub fn is_null(&self) -> bool {
-            matches!(self, Json::Null)
-        }
-    }
-
-    impl fmt::Display for Json {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            match self {
-                Json::Null => f.write_str("null"),
-                Json::Bool(b) => write!(f, "{b}"),
-                Json::Int(n) => write!(f, "{n}"),
-                Json::Num(n) if n.is_finite() => {
-                    // Keep a syntactic marker so the parser reads it back as
-                    // Num, preserving the Int/Num distinction.
-                    if n.fract() == 0.0 && n.abs() < 1e15 {
-                        write!(f, "{n:.1}")
-                    } else {
-                        write!(f, "{n}")
-                    }
-                }
-                Json::Num(_) => f.write_str("null"), // NaN/inf have no JSON form
-                Json::Str(s) => {
-                    f.write_str("\"")?;
-                    for c in s.chars() {
-                        match c {
-                            '"' => f.write_str("\\\"")?,
-                            '\\' => f.write_str("\\\\")?,
-                            '\n' => f.write_str("\\n")?,
-                            '\t' => f.write_str("\\t")?,
-                            '\r' => f.write_str("\\r")?,
-                            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                            c => write!(f, "{c}")?,
-                        }
-                    }
-                    f.write_str("\"")
-                }
-                Json::Arr(items) => {
-                    f.write_str("[")?;
-                    for (i, v) in items.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        write!(f, "{v}")?;
-                    }
-                    f.write_str("]")
-                }
-                Json::Obj(fields) => {
-                    f.write_str("{")?;
-                    for (i, (k, v)) in fields.iter().enumerate() {
-                        if i > 0 {
-                            f.write_str(",")?;
-                        }
-                        write!(f, "{}:{v}", Json::Str(k.clone()))?;
-                    }
-                    f.write_str("}")
-                }
-            }
-        }
-    }
-
-    /// Parses one JSON document (trailing whitespace allowed, nothing else).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the byte offset of the first syntax error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { b: text.as_bytes(), i: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
-
-        fn peek(&mut self) -> Result<u8, String> {
-            self.skip_ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".into())
-        }
-
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!("expected '{}' at byte {}", c as char, self.i))
-            }
-        }
-
-        fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at byte {}", self.i))
-            }
-        }
-
-        fn value(&mut self) -> Result<Json, String> {
-            match self.peek()? {
-                b'n' => self.lit("null", Json::Null),
-                b't' => self.lit("true", Json::Bool(true)),
-                b'f' => self.lit("false", Json::Bool(false)),
-                b'"' => self.string().map(Json::Str),
-                b'[' => {
-                    self.i += 1;
-                    let mut items = Vec::new();
-                    if self.peek()? == b']' {
-                        self.i += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    loop {
-                        items.push(self.value()?);
-                        match self.peek()? {
-                            b',' => self.i += 1,
-                            b']' => {
-                                self.i += 1;
-                                return Ok(Json::Arr(items));
-                            }
-                            _ => return Err(format!("expected ',' or ']' at byte {}", self.i)),
-                        }
-                    }
-                }
-                b'{' => {
-                    self.i += 1;
-                    let mut fields = Vec::new();
-                    if self.peek()? == b'}' {
-                        self.i += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    loop {
-                        self.peek()?;
-                        let key = self.string()?;
-                        self.expect(b':')?;
-                        fields.push((key, self.value()?));
-                        match self.peek()? {
-                            b',' => self.i += 1,
-                            b'}' => {
-                                self.i += 1;
-                                return Ok(Json::Obj(fields));
-                            }
-                            _ => return Err(format!("expected ',' or '}}' at byte {}", self.i)),
-                        }
-                    }
-                }
-                b'-' | b'0'..=b'9' => self.number(),
-                c => Err(format!("unexpected '{}' at byte {}", c as char, self.i)),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut s = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or("unterminated string")?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(s),
-                    b'\\' => {
-                        let e = *self.b.get(self.i).ok_or("unterminated escape")?;
-                        self.i += 1;
-                        match e {
-                            b'"' => s.push('"'),
-                            b'\\' => s.push('\\'),
-                            b'/' => s.push('/'),
-                            b'n' => s.push('\n'),
-                            b't' => s.push('\t'),
-                            b'r' => s.push('\r'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .and_then(|h| std::str::from_utf8(h).ok())
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape".to_string())?;
-                                self.i += 4;
-                                s.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            }
-                            _ => return Err(format!("bad escape at byte {}", self.i)),
-                        }
-                    }
-                    c => {
-                        // Re-assemble multi-byte UTF-8 sequences.
-                        let start = self.i - 1;
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => 1,
-                        };
-                        self.i = start + len;
-                        let chunk = self
-                            .b
-                            .get(start..self.i)
-                            .and_then(|b| std::str::from_utf8(b).ok())
-                            .ok_or("invalid UTF-8 in string")?;
-                        s.push_str(chunk);
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Json, String> {
-            let start = self.i;
-            if self.b[self.i] == b'-' {
-                self.i += 1;
-            }
-            let mut float = false;
-            while let Some(&c) = self.b.get(self.i) {
-                match c {
-                    b'0'..=b'9' => self.i += 1,
-                    b'.' | b'e' | b'E' | b'+' | b'-' => {
-                        float = true;
-                        self.i += 1;
-                    }
-                    _ => break,
-                }
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i])
-                .expect("number scanner only accepts ASCII bytes");
-            if !float {
-                if let Ok(n) = text.parse::<i64>() {
-                    return Ok(Json::Int(n));
-                }
-            }
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("bad number at byte {start}"))
-        }
-    }
-
-    /// Shorthand for building an object.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-
-    /// Shorthand for an integer value from any unsigned counter.
-    pub fn int(n: u64) -> Json {
-        Json::Int(n as i64)
-    }
-}
+pub use squash_obs::json;
 
 use json::{int, obj, Json};
+use squash_obs::Registry;
 
 /// Checked narrowing for integers parsed out of untrusted JSON documents: a
 /// value that does not fit the target counter type is a typed parse error,
@@ -395,6 +64,194 @@ use json::{int, obj, Json};
 /// region's counters).
 fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
     T::try_from(v).map_err(|_| format!("telemetry: \"{what}\" out of range ({v})"))
+}
+
+/// A type a field table can carry: an integer counter or a string.
+trait Value: Clone + Default + PartialEq {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+    /// The value of `v`: `None` if it has the wrong JSON type (or sign),
+    /// `Err` if it is an integer that does not fit ([`narrow`]).
+    fn from_json(v: &Json, key: &str) -> Option<Result<Self, String>>;
+}
+
+macro_rules! unsigned_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn to_json(&self) -> Json {
+                int(*self as u64)
+            }
+            fn from_json(v: &Json, key: &str) -> Option<Result<Self, String>> {
+                v.as_u64().map(|n| narrow(n, key))
+            }
+        }
+    )*};
+}
+
+unsigned_values!(u64, u32, u16, usize);
+
+impl Value for i64 {
+    fn to_json(&self) -> Json {
+        Json::Int(*self)
+    }
+    fn from_json(v: &Json, _: &str) -> Option<Result<i64, String>> {
+        v.as_i64().map(Ok)
+    }
+}
+
+impl Value for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: &Json, _: &str) -> Option<Result<String, String>> {
+        v.as_str().map(|s| Ok(s.to_string()))
+    }
+}
+
+/// Reads field `key` of the object `j`. A missing or mistyped required key
+/// is an error prefixed with `ctx`; an additive one reads as the default.
+fn read_field<T: Value>(j: &Json, key: &str, required: bool, ctx: &str) -> Result<T, String> {
+    match j.get(key).and_then(|v| T::from_json(v, key)) {
+        Some(v) => v,
+        None if required => Err(format!("{ctx}: missing or bad \"{key}\"")),
+        None => Ok(T::default()),
+    }
+}
+
+/// A struct whose fields are described by a `fields!` table.
+pub(crate) trait Fields: Clone + Default {
+    /// Appends each field as a `(key, value)` pair, in table order.
+    fn write_json(&self, out: &mut Vec<(&'static str, Json)>);
+    /// Reads each field from the object `j`; errors are prefixed `ctx`.
+    fn read_json(&mut self, j: &Json, ctx: &str) -> Result<(), String>;
+    /// Folds `other` into `self` by each row's merge rule.
+    fn merge_from(&mut self, other: &Self);
+    /// Mirrors each counter that has a metric onto `r`, with `label` (if
+    /// any) ahead of the row's own.
+    fn mirror(&self, r: &mut Registry, label: Option<(&str, &str)>);
+
+    /// The fields as one JSON object.
+    fn to_obj(&self) -> Json {
+        let mut fields = Vec::new();
+        self.write_json(&mut fields);
+        obj(fields)
+    }
+
+    /// A value read from the object `j` (fields outside the table default).
+    fn from_obj(j: &Json, ctx: &str) -> Result<Self, String> {
+        let mut v = Self::default();
+        v.read_json(j, ctx)?;
+        Ok(v)
+    }
+}
+
+/// The labels of one mirrored sample: the section's, then the row's.
+fn labels<'a>(
+    section: Option<(&'a str, &'a str)>,
+    row: &[(&'a str, &'a str)],
+) -> Vec<(&'a str, &'a str)> {
+    section.into_iter().chain(row.iter().copied()).collect()
+}
+
+/// Reads the optional section `key` of the document `v`.
+fn section<T: Fields>(v: &Json, key: &str, ctx: &str) -> Result<Option<T>, String> {
+    v.get(key).map(|j| T::from_obj(j, ctx)).transpose()
+}
+
+/// Reads the array of rows `key` of the document `v` (absent: none).
+fn rows<T: Fields>(v: &Json, key: &str, ctx: &str) -> Result<Vec<T>, String> {
+    let rows = v.get(key).and_then(Json::as_arr).unwrap_or(&[]);
+    rows.iter().map(|row| T::from_obj(row, ctx)).collect()
+}
+
+/// Folds an optional section into the aggregate: the first one present is
+/// copied, later ones merge by their table's rules.
+fn fold<T: Fields>(acc: &mut Option<T>, next: &Option<T>) {
+    if let Some(next) = next {
+        match acc {
+            Some(acc) => acc.merge_from(next),
+            None => *acc = Some(next.clone()),
+        }
+    }
+}
+
+/// Folds one row into the aggregate rows, keyed by the row's identity.
+fn fold_row<K: Ord, T: Fields>(rows: &mut BTreeMap<K, T>, key: K, row: &T) {
+    match rows.entry(key) {
+        Entry::Vacant(e) => {
+            e.insert(row.clone());
+        }
+        Entry::Occupied(mut e) => e.get_mut().merge_from(row),
+    }
+}
+
+/// Implements [`Fields`] for a struct from its field table. One row per
+/// field, in JSON order:
+///
+/// ```text
+/// field: <merge> <presence> [counter|gauge ("metric_name", "help" [, "label" = "value"])],
+/// ```
+///
+/// * merge — `sum` (saturating), `max` (high-water marks and the exit
+///   status), `key` (the row's identity: rows merge by it, so it is kept),
+///   `count` (a document count: `sum`, with 0 — an unmerged document —
+///   counting as 1), or `least` (the least non-empty string);
+/// * presence — `required` (a missing key is a parse error), `additive`
+///   (added after the first schema: an absent key reads as 0 or empty), or
+///   `sparse` (additive, and left out of the JSON and the registry when 0);
+/// * metric — the Prometheus family the counter is mirrored as, if any.
+///
+/// The JSON key is the field name; the field's type picks its [`Value`]
+/// codec, including the checked [`narrow`] for `u16`/`u32`/`usize`. Every
+/// merge rule is symmetric, so merge order cannot change a result.
+macro_rules! fields {
+    ($S:ty { $($f:ident: $merge:ident $presence:ident $($metric:ident $spec:tt)?,)* }) => {
+        impl Fields for $S {
+            fn write_json(&self, out: &mut Vec<(&'static str, Json)>) {
+                $(if fields!(@shown $presence self.$f) {
+                    out.push((stringify!($f), Value::to_json(&self.$f)));
+                })*
+            }
+
+            fn read_json(&mut self, j: &Json, ctx: &str) -> Result<(), String> {
+                $(self.$f = read_field(j, stringify!($f), fields!(@required $presence), ctx)?;)*
+                Ok(())
+            }
+
+            fn merge_from(&mut self, other: &Self) {
+                $(fields!(@merge $merge self.$f, other.$f);)*
+            }
+
+            #[allow(unused_variables)] // in tables without metrics
+            fn mirror(&self, r: &mut Registry, label: Option<(&str, &str)>) {
+                $($(if fields!(@shown $presence self.$f) {
+                    fields!(@metric $metric $spec r, label, self.$f);
+                })?)*
+            }
+        }
+    };
+    // Every rule word is spelled out, so a misspelt one fails to compile.
+    (@shown sparse $v:expr) => { $v != 0 };
+    (@shown required $v:expr) => { true };
+    (@shown additive $v:expr) => { true };
+    (@required required) => { true };
+    (@required additive) => { false };
+    (@required sparse) => { false };
+    (@merge sum $acc:expr, $v:expr) => { $acc = $acc.saturating_add($v) };
+    (@merge max $acc:expr, $v:expr) => { $acc = $acc.max($v) };
+    (@merge count $acc:expr, $v:expr) => { $acc = $acc.saturating_add($v.max(1)) };
+    (@merge key $acc:expr, $v:expr) => {};
+    (@merge least $acc:expr, $v:expr) => {
+        if !$v.is_empty() && ($acc.is_empty() || $v < $acc) {
+            $acc = $v.clone();
+        }
+    };
+    (@metric counter ($name:expr, $help:expr $(, $k:literal = $v:literal)?) $r:ident, $label:ident, $x:expr) => {
+        $r.add_counter($name, $help, &labels($label, &[$(($k, $v))?]), $x)
+    };
+    (@metric gauge ($name:expr, $help:expr) $r:ident, $label:ident, $x:expr) => {
+        $r.set_gauge($name, $help, &labels($label, &[]), $x as f64)
+    };
 }
 
 /// Attribution totals for one region: what its decompressions, cache hits
@@ -657,103 +514,30 @@ impl AttributionReport {
     }
 
     fn to_json(&self) -> Json {
-        obj(vec![
-            (
-                "regions",
-                Json::Arr(
-                    self.regions
-                        .iter()
-                        .map(|r| {
-                            obj(vec![
-                                ("region", int(r.region as u64)),
-                                ("decompressions", int(r.decompressions)),
-                                ("hits", int(r.hits)),
-                                ("evictions", int(r.evictions)),
-                                ("decomp_cycles", int(r.decomp_cycles)),
-                                ("hit_cycles", int(r.hit_cycles)),
-                                ("stub_cycles", int(r.stub_cycles)),
-                                ("residency_cycles", int(r.residency_cycles)),
-                                ("residency_intervals", int(r.residency_intervals)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "sites",
-                Json::Arr(
-                    self.sites
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("site", int(s.site as u64)),
-                                ("creates", int(s.creates)),
-                                ("reuses", int(s.reuses)),
-                                ("frees", int(s.frees)),
-                                ("cycles", int(s.cycles)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "trap_interarrival",
-                Json::Arr(self.interarrival.iter().map(|&n| int(n)).collect()),
-            ),
-            (
-                "traps",
-                obj(vec![
-                    ("create_stub", int(self.traps.create_stub)),
-                    ("entry", int(self.traps.entry)),
-                    ("restore", int(self.traps.restore)),
-                ]),
-            ),
-            ("attributed_cycles", int(self.attributed_cycles)),
-            ("end_cycle", int(self.end_cycle)),
-        ])
+        let mut fields = vec![
+            ("regions", Json::Arr(self.regions.iter().map(Fields::to_obj).collect())),
+            ("sites", Json::Arr(self.sites.iter().map(Fields::to_obj).collect())),
+            ("trap_interarrival", Json::Arr(self.interarrival.iter().map(|&n| int(n)).collect())),
+            ("traps", self.traps.to_obj()),
+        ];
+        self.write_json(&mut fields);
+        obj(fields)
     }
 
     fn from_json(v: &Json) -> Result<AttributionReport, String> {
-        let req = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("attribution: missing or bad \"{key}\""))
+        const CTX: &str = "attribution";
+        let buckets = v.get("trap_interarrival").and_then(Json::as_arr).unwrap_or(&[]);
+        let mut report = AttributionReport {
+            regions: rows(v, "regions", CTX)?,
+            sites: rows(v, "sites", CTX)?,
+            interarrival: buckets
+                .iter()
+                .map(|b| b.as_u64().ok_or("attribution: bad histogram bucket"))
+                .collect::<Result<_, _>>()?,
+            traps: section(v, "traps", CTX)?.unwrap_or_default(),
+            ..AttributionReport::default()
         };
-        let mut report = AttributionReport::default();
-        for r in v.get("regions").and_then(Json::as_arr).unwrap_or(&[]) {
-            report.regions.push(RegionRow {
-                region: narrow(req(r, "region")?, "region")?,
-                decompressions: req(r, "decompressions")?,
-                hits: req(r, "hits")?,
-                evictions: req(r, "evictions")?,
-                decomp_cycles: req(r, "decomp_cycles")?,
-                hit_cycles: req(r, "hit_cycles")?,
-                stub_cycles: req(r, "stub_cycles")?,
-                residency_cycles: req(r, "residency_cycles")?,
-                residency_intervals: req(r, "residency_intervals")?,
-            });
-        }
-        for s in v.get("sites").and_then(Json::as_arr).unwrap_or(&[]) {
-            report.sites.push(SiteRow {
-                site: narrow(req(s, "site")?, "site")?,
-                creates: req(s, "creates")?,
-                reuses: req(s, "reuses")?,
-                frees: req(s, "frees")?,
-                cycles: req(s, "cycles")?,
-            });
-        }
-        for b in v.get("trap_interarrival").and_then(Json::as_arr).unwrap_or(&[]) {
-            report
-                .interarrival
-                .push(b.as_u64().ok_or("attribution: bad histogram bucket")?);
-        }
-        if let Some(t) = v.get("traps") {
-            report.traps.create_stub = req(t, "create_stub")?;
-            report.traps.entry = req(t, "entry")?;
-            report.traps.restore = req(t, "restore")?;
-        }
-        report.attributed_cycles = req(v, "attributed_cycles")?;
-        report.end_cycle = req(v, "end_cycle")?;
+        report.read_json(v, CTX)?;
         Ok(report)
     }
 }
@@ -820,7 +604,7 @@ impl SharedRecorder {
     }
 
     /// A boxed clone of this handle, ready for
-    /// [`crate::pipeline::run_squashed_traced`].
+    /// [`crate::pipeline::RunSpec::sink`].
     pub fn sink(&self) -> Box<dyn TraceSink> {
         Box::new(self.clone())
     }
@@ -888,7 +672,7 @@ pub struct RunMetrics {
 /// One machine-check fault tally: how many faults of one kind a run (or a
 /// fault-injection sweep) observed. `kind` is [`crate::FaultKind::name`]'s
 /// snake_case string so the schema does not depend on the Rust enum layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultCount {
     /// Fault kind name (`"region_checksum"`, `"truncated_stream"`, ...).
     pub kind: String,
@@ -939,6 +723,95 @@ pub struct Telemetry {
     pub sampler_drops: u64,
 }
 
+// The schema (DESIGN.md §12): one `fields!` table per counter struct, one
+// row per counter, in JSON order. A new counter is its struct field plus one
+// row here; its codec, merge rule and metric follow from the row.
+
+const RUNTIME: &str = "Runtime decompressor counter";
+const REGION_CYCLES: &str = "Attributed service cycles per region";
+const TRAPS: &str = "Service traps by kind";
+
+fields! { Telemetry {
+    docs: count sparse gauge("squash_telemetry_docs", "Run documents folded into this aggregate"),
+    trace_drops: sum sparse counter("squash_trace_drops_total", "Events the bounded trace ring discarded"),
+    sampler_drops: sum sparse counter("squash_sampler_drops_total", "Samples the bounded sampling profiler discarded"),
+} }
+
+fields! { RunMetrics {
+    status: max required gauge("squash_run_status", "Guest exit status"),
+    instructions: sum required counter("squash_run_instructions_total", "Instructions executed"),
+    cycles: sum required counter("squash_run_cycles_total", "Cycles consumed (instructions + service charges)"),
+    output_bytes: sum required counter("squash_run_output_bytes_total", "Bytes the guest wrote"),
+} }
+
+fields! { RuntimeStats {
+    decompressions: sum required counter("squash_runtime_decompressions_total", RUNTIME),
+    skipped: sum required counter("squash_runtime_skipped_total", RUNTIME),
+    stub_hits: sum required counter("squash_runtime_stub_hits_total", RUNTIME),
+    stub_allocs: sum required counter("squash_runtime_stub_allocs_total", RUNTIME),
+    restores: sum required counter("squash_runtime_restores_total", RUNTIME),
+    max_live_stubs: max required gauge("squash_runtime_max_live_stubs", "High-water mark of live restore stubs"),
+    bits_read: sum required counter("squash_runtime_bits_read_total", RUNTIME),
+    insts_written: sum required counter("squash_runtime_insts_written_total", RUNTIME),
+    cycles_charged: sum required counter("squash_runtime_cycles_charged_total", RUNTIME),
+    hits: sum required counter("squash_runtime_hits_total", RUNTIME),
+    misses: sum required counter("squash_runtime_misses_total", RUNTIME),
+    evictions: sum required counter("squash_runtime_evictions_total", RUNTIME),
+    regions_verified: sum additive counter("squash_runtime_regions_verified_total", RUNTIME),
+    checksum_cycles: sum additive counter("squash_runtime_checksum_cycles_total", RUNTIME),
+    ref_fallbacks: sum additive counter("squash_runtime_ref_fallbacks_total", RUNTIME),
+} }
+
+fields! { ICacheStats {
+    hits: sum required counter("squash_icache_hits_total", "Instruction-cache hits"),
+    misses: sum required counter("squash_icache_misses_total", "Instruction-cache misses"),
+    flushes: sum required counter("squash_icache_flushes_total", "Instruction-cache flushes"),
+} }
+
+fields! { StageRecord {
+    name: key required,
+    wall_ns: sum required counter("squash_stage_wall_ns_total", "Stage wall-clock"),
+    items: sum required counter("squash_stage_items_total", "Stage items processed"),
+    output_bytes: sum required counter("squash_stage_output_bytes_total", "Stage artifact bytes"),
+    note: least additive,
+} }
+
+fields! { FaultCount {
+    kind: key required,
+    count: sum required counter("squash_faults_total", "Machine-check faults by kind"),
+} }
+
+fields! { AttributionReport {
+    attributed_cycles: sum required,
+    end_cycle: max required,
+} }
+
+fields! { RegionRow {
+    region: key required,
+    decompressions: sum required counter("squash_region_decompressions_total", "Decompressions per region"),
+    hits: sum required,
+    evictions: sum required,
+    decomp_cycles: sum required counter("squash_region_cycles_total", REGION_CYCLES, "kind" = "decomp"),
+    hit_cycles: sum required counter("squash_region_cycles_total", REGION_CYCLES, "kind" = "hit"),
+    stub_cycles: sum required counter("squash_region_cycles_total", REGION_CYCLES, "kind" = "stub"),
+    residency_cycles: sum required counter("squash_region_residency_cycles_total", "Cycles the region was buffer-resident"),
+    residency_intervals: sum required,
+} }
+
+fields! { SiteRow {
+    site: key required,
+    creates: sum required,
+    reuses: sum required,
+    frees: sum required,
+    cycles: sum required,
+} }
+
+fields! { TrapCounts {
+    create_stub: sum required counter("squash_traps_total", TRAPS, "kind" = "create_stub"),
+    entry: sum required counter("squash_traps_total", TRAPS, "kind" = "entry"),
+    restore: sum required counter("squash_traps_total", TRAPS, "kind" = "restore"),
+} }
+
 impl Telemetry {
     /// Cycle coverage: `(attributed, charged, untracked)` service cycles.
     /// `untracked` is whatever part of the runtime's charge the attribution
@@ -956,131 +829,53 @@ impl Telemetry {
     /// Folds a fleet of run documents into one aggregate document (what
     /// `squashc --retune a.json --retune b.json` feeds the retuner).
     ///
-    /// Counters sum (saturating, so forged documents cannot overflow);
-    /// high-water marks (`max_live_stubs`, `end_cycle`) and the exit status
-    /// take the maximum; attribution rows merge by region index / site tag;
-    /// stage records merge by stage name; fault tallies merge by kind; names
+    /// Each counter merges by its field-table rule: counters sum
+    /// (saturating, so forged documents cannot overflow); high-water marks
+    /// (`max_live_stubs`, `end_cycle`) and the exit status take the maximum.
+    /// Attribution rows merge by region index / site tag; stage records
+    /// merge by stage name; fault tallies merge by kind; names
     /// are deduplicated, sorted and joined with `+`. Every rule is symmetric,
     /// so the result is independent of document order (asserted by
     /// `tests/determinism.rs`). An empty slice merges to the default
     /// document.
     pub fn merge(docs: &[Telemetry]) -> Telemetry {
-        fn sat(acc: &mut u64, n: u64) {
-            *acc = acc.saturating_add(n);
-        }
-        let mut names: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        let mut stages: BTreeMap<String, StageRecord> = BTreeMap::new();
-        let mut faults: BTreeMap<String, u64> = BTreeMap::new();
+        let mut names = std::collections::BTreeSet::new();
+        let mut stages: BTreeMap<&str, StageRecord> = BTreeMap::new();
+        let mut faults: BTreeMap<&str, FaultCount> = BTreeMap::new();
         let mut regions: BTreeMap<u16, RegionRow> = BTreeMap::new();
         let mut sites: BTreeMap<u32, SiteRow> = BTreeMap::new();
         let mut attr: Option<AttributionReport> = None;
         let mut out = Telemetry::default();
         for d in docs {
             if !d.name.is_empty() {
-                names.insert(&d.name);
+                names.insert(d.name.as_str());
             }
-            // A previously-merged input counts for the documents behind it.
-            sat(&mut out.docs, d.docs.max(1));
-            sat(&mut out.trace_drops, d.trace_drops);
-            sat(&mut out.sampler_drops, d.sampler_drops);
-            if let Some(run) = d.run {
-                match &mut out.run {
-                    None => out.run = Some(run),
-                    Some(acc) => {
-                        acc.status = acc.status.max(run.status);
-                        sat(&mut acc.instructions, run.instructions);
-                        sat(&mut acc.cycles, run.cycles);
-                        sat(&mut acc.output_bytes, run.output_bytes);
-                    }
-                }
-            }
-            if let Some(rt) = d.runtime {
-                match &mut out.runtime {
-                    None => out.runtime = Some(rt),
-                    Some(acc) => {
-                        sat(&mut acc.decompressions, rt.decompressions);
-                        sat(&mut acc.skipped, rt.skipped);
-                        sat(&mut acc.stub_hits, rt.stub_hits);
-                        sat(&mut acc.stub_allocs, rt.stub_allocs);
-                        sat(&mut acc.restores, rt.restores);
-                        acc.max_live_stubs = acc.max_live_stubs.max(rt.max_live_stubs);
-                        sat(&mut acc.bits_read, rt.bits_read);
-                        sat(&mut acc.insts_written, rt.insts_written);
-                        sat(&mut acc.cycles_charged, rt.cycles_charged);
-                        sat(&mut acc.hits, rt.hits);
-                        sat(&mut acc.misses, rt.misses);
-                        sat(&mut acc.evictions, rt.evictions);
-                        sat(&mut acc.regions_verified, rt.regions_verified);
-                        sat(&mut acc.checksum_cycles, rt.checksum_cycles);
-                        sat(&mut acc.ref_fallbacks, rt.ref_fallbacks);
-                    }
-                }
-            }
-            if let Some(ic) = d.icache {
-                match &mut out.icache {
-                    None => out.icache = Some(ic),
-                    Some(acc) => {
-                        sat(&mut acc.hits, ic.hits);
-                        sat(&mut acc.misses, ic.misses);
-                        sat(&mut acc.flushes, ic.flushes);
-                    }
-                }
-            }
+            out.merge_from(d);
+            fold(&mut out.run, &d.run);
+            fold(&mut out.runtime, &d.runtime);
+            fold(&mut out.icache, &d.icache);
             for s in &d.stages {
-                match stages.get_mut(&s.name) {
-                    None => {
-                        stages.insert(s.name.clone(), s.clone());
-                    }
-                    Some(acc) => {
-                        sat(&mut acc.wall_ns, s.wall_ns);
-                        sat(&mut acc.items, s.items);
-                        sat(&mut acc.output_bytes, s.output_bytes);
-                        // Smallest non-empty note wins: symmetric, so merge
-                        // order cannot change the result.
-                        if !s.note.is_empty() && (acc.note.is_empty() || s.note < acc.note) {
-                            acc.note = s.note.clone();
-                        }
-                    }
-                }
+                fold_row(&mut stages, s.name.as_str(), s);
             }
             for f in &d.faults {
-                sat(faults.entry(f.kind.clone()).or_insert(0), f.count);
+                fold_row(&mut faults, f.kind.as_str(), f);
             }
             if let Some(a) = &d.attribution {
                 let acc = attr.get_or_insert_with(AttributionReport::default);
                 for r in &a.regions {
-                    let row = regions
-                        .entry(r.region)
-                        .or_insert_with(|| RegionRow { region: r.region, ..RegionRow::default() });
-                    sat(&mut row.decompressions, r.decompressions);
-                    sat(&mut row.hits, r.hits);
-                    sat(&mut row.evictions, r.evictions);
-                    sat(&mut row.decomp_cycles, r.decomp_cycles);
-                    sat(&mut row.hit_cycles, r.hit_cycles);
-                    sat(&mut row.stub_cycles, r.stub_cycles);
-                    sat(&mut row.residency_cycles, r.residency_cycles);
-                    sat(&mut row.residency_intervals, r.residency_intervals);
+                    fold_row(&mut regions, r.region, r);
                 }
                 for s in &a.sites {
-                    let row = sites
-                        .entry(s.site)
-                        .or_insert_with(|| SiteRow { site: s.site, ..SiteRow::default() });
-                    sat(&mut row.creates, s.creates);
-                    sat(&mut row.reuses, s.reuses);
-                    sat(&mut row.frees, s.frees);
-                    sat(&mut row.cycles, s.cycles);
+                    fold_row(&mut sites, s.site, s);
                 }
                 if acc.interarrival.len() < a.interarrival.len() {
                     acc.interarrival.resize(a.interarrival.len(), 0);
                 }
                 for (bucket, &n) in a.interarrival.iter().enumerate() {
-                    sat(&mut acc.interarrival[bucket], n);
+                    acc.interarrival[bucket] = acc.interarrival[bucket].saturating_add(n);
                 }
-                sat(&mut acc.traps.create_stub, a.traps.create_stub);
-                sat(&mut acc.traps.entry, a.traps.entry);
-                sat(&mut acc.traps.restore, a.traps.restore);
-                sat(&mut acc.attributed_cycles, a.attributed_cycles);
-                acc.end_cycle = acc.end_cycle.max(a.end_cycle);
+                acc.traps.merge_from(&a.traps);
+                acc.merge_from(a);
             }
         }
         if let Some(mut a) = attr {
@@ -1089,8 +884,7 @@ impl Telemetry {
             out.attribution = Some(a);
         }
         out.stages = stages.into_values().collect();
-        out.faults =
-            faults.into_iter().map(|(kind, count)| FaultCount { kind, count }).collect();
+        out.faults = faults.into_values().collect();
         out.name = names.into_iter().collect::<Vec<_>>().join("+");
         out
     }
@@ -1101,95 +895,24 @@ impl Telemetry {
             ("schema", int(SCHEMA_VERSION as u64)),
             ("name", Json::Str(self.name.clone())),
         ];
-        if self.docs > 0 {
-            fields.push(("docs", int(self.docs)));
+        self.write_json(&mut fields);
+        if let Some(run) = &self.run {
+            fields.push(("run", run.to_obj()));
         }
-        // Additive (schema-compatible) field: omitted when zero, so every
-        // pre-drop-count document and byte-for-byte golden test still holds.
-        if self.trace_drops > 0 {
-            fields.push(("trace_drops", int(self.trace_drops)));
+        if let Some(rt) = &self.runtime {
+            fields.push(("runtime", rt.to_obj()));
         }
-        if self.sampler_drops > 0 {
-            fields.push(("sampler_drops", int(self.sampler_drops)));
-        }
-        if let Some(run) = self.run {
-            fields.push((
-                "run",
-                obj(vec![
-                    ("status", Json::Int(run.status)),
-                    ("instructions", int(run.instructions)),
-                    ("cycles", int(run.cycles)),
-                    ("output_bytes", int(run.output_bytes)),
-                ]),
-            ));
-        }
-        if let Some(rt) = self.runtime {
-            fields.push((
-                "runtime",
-                obj(vec![
-                    ("decompressions", int(rt.decompressions)),
-                    ("skipped", int(rt.skipped)),
-                    ("stub_hits", int(rt.stub_hits)),
-                    ("stub_allocs", int(rt.stub_allocs)),
-                    ("restores", int(rt.restores)),
-                    ("max_live_stubs", int(rt.max_live_stubs as u64)),
-                    ("bits_read", int(rt.bits_read)),
-                    ("insts_written", int(rt.insts_written)),
-                    ("cycles_charged", int(rt.cycles_charged)),
-                    ("hits", int(rt.hits)),
-                    ("misses", int(rt.misses)),
-                    ("evictions", int(rt.evictions)),
-                    ("regions_verified", int(rt.regions_verified)),
-                    ("checksum_cycles", int(rt.checksum_cycles)),
-                    ("ref_fallbacks", int(rt.ref_fallbacks)),
-                ]),
-            ));
-        }
-        if let Some(ic) = self.icache {
-            fields.push((
-                "icache",
-                obj(vec![
-                    ("hits", int(ic.hits)),
-                    ("misses", int(ic.misses)),
-                    ("flushes", int(ic.flushes)),
-                    ("miss_ratio", Json::Num(ic.miss_ratio())),
-                ]),
-            ));
+        if let Some(ic) = &self.icache {
+            let mut counters = Vec::new();
+            ic.write_json(&mut counters);
+            counters.push(("miss_ratio", Json::Num(ic.miss_ratio())));
+            fields.push(("icache", obj(counters)));
         }
         if !self.stages.is_empty() {
-            fields.push((
-                "stages",
-                Json::Arr(
-                    self.stages
-                        .iter()
-                        .map(|s| {
-                            obj(vec![
-                                ("name", Json::Str(s.name.clone())),
-                                ("wall_ns", int(s.wall_ns)),
-                                ("items", int(s.items)),
-                                ("output_bytes", int(s.output_bytes)),
-                                ("note", Json::Str(s.note.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            fields.push(("stages", Json::Arr(self.stages.iter().map(Fields::to_obj).collect())));
         }
         if !self.faults.is_empty() {
-            fields.push((
-                "faults",
-                Json::Arr(
-                    self.faults
-                        .iter()
-                        .map(|f| {
-                            obj(vec![
-                                ("kind", Json::Str(f.kind.clone())),
-                                ("count", int(f.count)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
+            fields.push(("faults", Json::Arr(self.faults.iter().map(Fields::to_obj).collect())));
         }
         if let Some(attr) = &self.attribution {
             fields.push(("attribution", attr.to_json()));
@@ -1216,6 +939,7 @@ impl Telemetry {
     ///
     /// Fails on an unknown schema version or missing/mistyped fields.
     pub fn from_json(v: &Json) -> Result<Telemetry, String> {
+        const CTX: &str = "telemetry";
         let schema = v
             .get("schema")
             .and_then(Json::as_u64)
@@ -1225,95 +949,17 @@ impl Telemetry {
                 "telemetry: schema {schema} is newer than supported ({SCHEMA_VERSION})"
             ));
         }
-        let req = |j: &Json, key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("telemetry: missing or bad \"{key}\""))
-        };
-        let opt = |j: &Json, key: &str| -> u64 { j.get(key).and_then(Json::as_u64).unwrap_or(0) };
         let mut t = Telemetry {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            // Absent in every pre-merge (schema 1) document and in plain
-            // single-run documents: both read back as 0.
-            docs: v.get("docs").and_then(Json::as_u64).unwrap_or(0),
-            // Additive field: absent in old documents, reads as zero.
-            trace_drops: v.get("trace_drops").and_then(Json::as_u64).unwrap_or(0),
-            sampler_drops: v.get("sampler_drops").and_then(Json::as_u64).unwrap_or(0),
+            name: v.get("name").and_then(Json::as_str).unwrap_or_default().to_string(),
+            run: section(v, "run", CTX)?,
+            runtime: section(v, "runtime", CTX)?,
+            icache: section(v, "icache", CTX)?,
+            stages: rows(v, "stages", CTX)?,
+            faults: rows(v, "faults", CTX)?,
+            attribution: v.get("attribution").map(AttributionReport::from_json).transpose()?,
             ..Telemetry::default()
         };
-        if let Some(run) = v.get("run") {
-            t.run = Some(RunMetrics {
-                status: run
-                    .get("status")
-                    .and_then(Json::as_i64)
-                    .ok_or("telemetry: bad \"status\"")?,
-                instructions: req(run, "instructions")?,
-                cycles: req(run, "cycles")?,
-                output_bytes: req(run, "output_bytes")?,
-            });
-        }
-        if let Some(rt) = v.get("runtime") {
-            t.runtime = Some(RuntimeStats {
-                decompressions: req(rt, "decompressions")?,
-                skipped: req(rt, "skipped")?,
-                stub_hits: req(rt, "stub_hits")?,
-                stub_allocs: req(rt, "stub_allocs")?,
-                restores: req(rt, "restores")?,
-                max_live_stubs: narrow(req(rt, "max_live_stubs")?, "max_live_stubs")?,
-                bits_read: req(rt, "bits_read")?,
-                insts_written: req(rt, "insts_written")?,
-                cycles_charged: req(rt, "cycles_charged")?,
-                hits: req(rt, "hits")?,
-                misses: req(rt, "misses")?,
-                evictions: req(rt, "evictions")?,
-                // Integrity counters postdate the first schema; absent keys
-                // read as zero so old documents still parse.
-                regions_verified: opt(rt, "regions_verified"),
-                checksum_cycles: opt(rt, "checksum_cycles"),
-                ref_fallbacks: opt(rt, "ref_fallbacks"),
-            });
-        }
-        if let Some(ic) = v.get("icache") {
-            let mut stats = ICacheStats::default();
-            stats.hits = req(ic, "hits")?;
-            stats.misses = req(ic, "misses")?;
-            stats.flushes = req(ic, "flushes")?;
-            t.icache = Some(stats);
-        }
-        for s in v.get("stages").and_then(Json::as_arr).unwrap_or(&[]) {
-            t.stages.push(StageRecord {
-                name: s
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("telemetry: stage without a name")?
-                    .to_string(),
-                wall_ns: req(s, "wall_ns")?,
-                items: req(s, "items")?,
-                output_bytes: req(s, "output_bytes")?,
-                note: s
-                    .get("note")
-                    .and_then(Json::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-            });
-        }
-        for f in v.get("faults").and_then(Json::as_arr).unwrap_or(&[]) {
-            t.faults.push(FaultCount {
-                kind: f
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or("telemetry: fault without a kind")?
-                    .to_string(),
-                count: req(f, "count")?,
-            });
-        }
-        if let Some(attr) = v.get("attribution") {
-            t.attribution = Some(AttributionReport::from_json(attr)?);
-        }
+        t.read_json(v, CTX)?;
         Ok(t)
     }
 

@@ -437,7 +437,8 @@ fn icache_model_preserves_behaviour_and_counts_flushes() {
     let cfg = Some(squash_vm::ICacheConfig::default());
     let plain = pipeline::run_original(&p, b"C").unwrap();
     let orig = pipeline::run_original_with(&p, b"C", cfg).unwrap();
-    let comp = pipeline::run_squashed_with(&squashed, b"C", cfg).unwrap();
+    let spec = pipeline::RunSpec { icache: cfg, ..Default::default() };
+    let (comp, _) = pipeline::run_squashed_with(&squashed, b"C", spec).unwrap();
     assert_eq!(orig.output, comp.output);
     assert_eq!(orig.status, comp.status);
     // The cache model adds miss cycles to both runs…

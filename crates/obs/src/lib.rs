@@ -14,6 +14,9 @@
 //! * [`stacks::Stacks`] — aggregated call-stack samples in the collapsed
 //!   (folded) format every flamegraph renderer consumes.
 //!
+//! [`json`] is the workspace's one JSON value type and parser; the
+//! encoders above share its escape loop.
+//!
 //! Nothing in this crate observes anything by itself: producers (the VM's
 //! cycle sampler, the runtime decompressor's trace events, the staged
 //! compile pipeline) push data in, and the encoders here render it. That
@@ -24,6 +27,7 @@
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+pub mod json;
 pub mod metrics;
 pub mod span;
 pub mod stacks;
@@ -36,20 +40,30 @@ pub use stacks::Stacks;
 /// backslashes, and control characters).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s).expect("writing to a String cannot fail");
     out
+}
+
+/// The one escape loop: writes `s` with [`json_escape`]'s escapes into
+/// `out`, copying runs that need none as whole slices.
+fn escape_into(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
+    let mut run = 0;
+    for (i, c) in s.char_indices() {
+        if c != '"' && c != '\\' && c >= ' ' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        run = i + 1; // every escaped char is a single byte
+    }
+    out.write_str(&s[run..])
 }
 
 #[cfg(test)]

@@ -172,13 +172,13 @@ fn run() -> Result<i64, CliError> {
         })
     });
 
-    let (result, sampler) = match pipeline::run_squashed_observed(
-        &squashed,
-        &input,
-        cache,
-        recorder.as_ref().map(|r| r.sink()),
-        sampling.then(|| sample_every.unwrap_or(DEFAULT_SAMPLE_PERIOD)),
-    ) {
+    let spec = pipeline::RunSpec {
+        icache: cache,
+        sink: recorder.as_ref().map(|r| r.sink()),
+        sample_every: sampling.then(|| sample_every.unwrap_or(DEFAULT_SAMPLE_PERIOD)),
+        ..pipeline::RunSpec::default()
+    };
+    let (result, sampler) = match pipeline::run_squashed_with(&squashed, &input, spec) {
         Ok(r) => r,
         Err(e) => return Err(on_fault(&metrics_path, &image_path, e)),
     };

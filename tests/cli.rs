@@ -699,6 +699,32 @@ fn squashmon_merges_renders_and_audits() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("no provenance"));
 }
 
+/// A document nested a million levels deep is bad input, not a stack
+/// overflow: `squashmon` and `squashc --retune` both exit 1 with a message.
+#[test]
+fn deeply_nested_telemetry_is_rejected_cleanly() {
+    let dir = temp_dir();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(1_000_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashmon"))
+        .arg(&deep)
+        .output()
+        .expect("squashmon runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+
+    let src = dir.join("deep.mc");
+    std::fs::write(&src, PROGRAM).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_squashc"))
+        .args([src.to_str().unwrap(), "--theta", "1.0", "--retune", deep.to_str().unwrap()])
+        .output()
+        .expect("squashc runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
 /// Compiles `PROGRAM` into `dir/<name>.sqsh` and returns the image path.
 fn emit_image(dir: &std::path::Path, name: &str) -> PathBuf {
     let src = dir.join(format!("{name}.mc"));

@@ -8,7 +8,8 @@
 use std::sync::{Arc, Mutex};
 
 use squash_repro::squash::layout::Squashed;
-use squash_repro::squash::{pipeline, SquashOptions, Squasher};
+use squash_repro::squash::pipeline::{self, RunResult};
+use squash_repro::squash::{SquashError, SquashOptions, Squasher};
 use squash_repro::vm::{FaultKind, MachineCheck, TraceEvent, TraceSink};
 
 /// A program whose cold helpers run once per input byte above 64, so at
@@ -43,8 +44,14 @@ fn squashed() -> Squashed {
         .expect("squash")
 }
 
+/// Runs [`INPUT`] under a cycle budget of `budget`.
+fn budgeted(squashed: &Squashed, budget: u64) -> Result<RunResult, SquashError> {
+    let spec = pipeline::RunSpec { deadline: Some(budget), ..Default::default() };
+    pipeline::run_squashed_with(squashed, INPUT, spec).map(|(run, _)| run)
+}
+
 fn deadline_fault(squashed: &Squashed, budget: u64) -> MachineCheck {
-    match pipeline::run_squashed_budgeted(squashed, INPUT, Some(budget), None) {
+    match budgeted(squashed, budget) {
         Err(e) => {
             let mc = e
                 .fault
@@ -61,7 +68,7 @@ fn budget_of_exactly_the_run_completes() {
     let squashed = squashed();
     let plain = pipeline::run_squashed(&squashed, INPUT).expect("plain run");
     assert!(plain.runtime.decompressions > 1, "the run must decompress");
-    let budgeted = pipeline::run_squashed_budgeted(&squashed, INPUT, Some(plain.cycles), None)
+    let budgeted = budgeted(&squashed, plain.cycles)
         .expect("a budget of exactly the run's cycles completes");
     assert_eq!(
         (
@@ -97,13 +104,11 @@ impl TraceSink for Decompressions {
 fn budget_inside_a_decompression_charge_faults_before_the_charge() {
     let squashed = squashed();
     let log = Arc::new(Mutex::new(Vec::new()));
-    pipeline::run_squashed_traced(
-        &squashed,
-        INPUT,
-        None,
-        Some(Box::new(Decompressions(log.clone()))),
-    )
-    .expect("traced run");
+    let spec = pipeline::RunSpec {
+        sink: Some(Box::new(Decompressions(log.clone()))),
+        ..Default::default()
+    };
+    pipeline::run_squashed_with(&squashed, INPUT, spec).expect("traced run");
     let cost = squashed.runtime.cost;
     let ends = log.lock().expect("sink lock").clone();
     assert!(ends.len() > 1, "the run must decompress");

@@ -90,14 +90,13 @@ fn check_workload(name: &str) {
             timeline: Some(SlotTimeline::new()),
             ..Recorder::default()
         });
-        let (traced, sampler) = pipeline::run_squashed_observed(
-            &squashed,
-            &input,
-            None,
-            Some(recorder.sink()),
-            Some(257),
-        )
-        .unwrap_or_else(|e| panic!("{name} traced with {slots} cache slots: {e}"));
+        let spec = pipeline::RunSpec {
+            sink: Some(recorder.sink()),
+            sample_every: Some(257),
+            ..Default::default()
+        };
+        let (traced, sampler) = pipeline::run_squashed_with(&squashed, &input, spec)
+            .unwrap_or_else(|e| panic!("{name} traced with {slots} cache slots: {e}"));
         assert_eq!(
             (compressed.cycles, compressed.instructions, &compressed.output, compressed.status),
             (traced.cycles, traced.instructions, &traced.output, traced.status),

@@ -47,14 +47,13 @@ fn observed_run_produces_consistent_artifacts() {
         timeline: Some(SlotTimeline::new()),
         ..Recorder::default()
     });
-    let (run, sampler) = pipeline::run_squashed_observed(
-        &squashed,
-        TIMING,
-        None,
-        Some(recorder.sink()),
-        Some(97),
-    )
-    .expect("observed run");
+    let spec = pipeline::RunSpec {
+        sink: Some(recorder.sink()),
+        sample_every: Some(97),
+        ..Default::default()
+    };
+    let (run, sampler) =
+        pipeline::run_squashed_with(&squashed, TIMING, spec).expect("observed run");
     let recorder = recorder.take();
 
     // Spans: every trap bracketed, and decompress/verify spans sit inside
@@ -129,8 +128,8 @@ fn audit_accepts_replay_and_rejects_skew() {
 
     // Measure the static image with attribution: the retuner's input.
     let recorder = SharedRecorder::new(Recorder::attribution_only());
-    let run = pipeline::run_squashed_traced(&squashed, TIMING, None, Some(recorder.sink()))
-        .expect("static run");
+    let spec = pipeline::RunSpec { sink: Some(recorder.sink()), ..Default::default() };
+    let (run, _) = pipeline::run_squashed_with(&squashed, TIMING, spec).expect("static run");
     let mut telemetry = run.telemetry("obs");
     telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
 

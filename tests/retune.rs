@@ -40,8 +40,8 @@ fn measure(
         attribution: Default::default(),
         ..Recorder::default()
     });
-    let run = pipeline::run_squashed_traced(squashed, input, None, Some(recorder.sink()))
-        .expect("static run");
+    let spec = pipeline::RunSpec { sink: Some(recorder.sink()), ..Default::default() };
+    let (run, _) = pipeline::run_squashed_with(squashed, input, spec).expect("static run");
     let mut telemetry = run.telemetry(name);
     telemetry.attribution = Some(recorder.take().attribution.finish(run.cycles));
     telemetry
